@@ -23,53 +23,80 @@ def exclusive_scan(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def pack_rows(columns: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Pack integer rows into single uint64 sort keys when ranges permit.
+#: Per-column ``(lo, bits)`` packing basis: column ``j`` holds
+#: ``value - lo`` in ``bits`` bits, so it covers ``lo .. lo + 2**bits - 1``.
+Basis = tuple[tuple[int, int], ...]
 
-    GPU sorts run fastest on packed radix keys; the same trick dominates
-    here because a single-key argsort is several times cheaper than a
-    general lexsort.  Returns None when any column is floating point or
-    the combined key range overflows 64 bits.
+
+def key_basis(
+    columns: Sequence[np.ndarray], extend: Basis | None = None
+) -> Basis | None:
+    """The narrowest basis covering every value of ``columns`` and, when
+    given, the whole range of ``extend``.
+
+    Returns None when the rows cannot pack: a floating-point column, or a
+    combined width over 63 bits.  Packing under any covering basis keeps
+    lexicographic row order, so keys packed under one basis compare like
+    the rows they encode.
     """
     if not columns:
         return None
+    basis: list[tuple[int, int]] = []
     total_bits = 0
-    shifted: list[np.ndarray] = []
-    widths: list[int] = []
-    for col in columns:
+    for j, col in enumerate(columns):
         col = np.asarray(col)
         if col.dtype.kind == "f":
             return None
-        lo = col.min() if len(col) else 0
-        hi = col.max() if len(col) else 0
-        span = int(hi) - int(lo) + 1
-        bits = max(span - 1, 1).bit_length()
+        lo = int(col.min()) if len(col) else 0
+        hi = int(col.max()) if len(col) else 0
+        if extend is not None:
+            ext_lo, ext_bits = extend[j]
+            lo, hi = min(lo, ext_lo), max(hi, ext_lo + (1 << ext_bits) - 1)
+        bits = max(hi - lo, 1).bit_length()
         total_bits += bits
         if total_bits > 63:
             return None
-        shifted.append((col - lo).astype(np.uint64))
-        widths.append(bits)
-    packed = shifted[0]
-    for col, bits in zip(shifted[1:], widths[1:]):
-        packed = (packed << np.uint64(bits)) | col
+        basis.append((lo, bits))
+    return tuple(basis)
+
+
+def pack_keys(columns: Sequence[np.ndarray], basis: Basis) -> np.ndarray:
+    """Pack rows into uint64 keys under ``basis``; every value must lie
+    inside it (see :func:`in_basis`)."""
+    packed = (np.asarray(columns[0]) - basis[0][0]).astype(np.uint64)
+    for col, (lo, bits) in zip(columns[1:], basis[1:]):
+        packed <<= np.uint64(bits)
+        packed |= (np.asarray(col) - lo).astype(np.uint64)
     return packed
+
+
+def in_basis(columns: Sequence[np.ndarray], basis: Basis) -> np.ndarray:
+    """Mask of the rows whose every value lies inside ``basis``; the
+    other rows can never equal a row packed under it."""
+    inside = np.ones(len(columns[0]), dtype=bool)
+    for col, (lo, bits) in zip(columns, basis):
+        col = np.asarray(col)
+        inside &= (col >= lo) & (col <= lo + (1 << bits) - 1)
+    return inside
 
 
 def lex_rank(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Permutation that sorts rows of a columnar table lexicographically.
 
-    Uses the packed-radix-key fast path when the rows fit in 64 bits;
-    falls back to ``np.lexsort`` (whose last key is primary, hence the
-    reversal) otherwise.
+    GPU sorts run fastest on packed radix keys; the same trick dominates
+    here because a single-key argsort of the rows packed into uint64 keys
+    is several times cheaper than a general lexsort.  Rows that cannot
+    pack fall back to ``np.lexsort`` (whose last key is primary, hence the
+    reversal).
     """
     if not columns:
         return np.zeros(0, dtype=np.int64)
     n = len(columns[0])
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    packed = pack_rows(columns)
-    if packed is not None:
-        return np.argsort(packed, kind="stable")
+    basis = key_basis(columns)
+    if basis is not None:
+        return np.argsort(pack_keys(columns, basis), kind="stable")
     return np.lexsort(tuple(reversed([np.asarray(c) for c in columns])))
 
 
@@ -108,17 +135,36 @@ def unique_rows(
 
 
 def merge_sorted(
-    left: Sequence[np.ndarray], right: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Merge two lexicographically sorted tables (the ``merge`` instruction).
+    left: Sequence[np.ndarray],
+    right: Sequence[np.ndarray],
+    left_keys: np.ndarray | None = None,
+    right_keys: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locate each row of ``right`` in ``left`` (the ``merge`` instruction).
 
-    Returns the merged (still sorted) columns and the permutation mapping
-    concatenated input rows (left rows first) to output positions — callers
-    use it to carry tags along.
+    ``left`` must be lexicographically sorted and free of duplicates.
+    Returns ``(positions, match)`` over the right rows: ``positions[i]``
+    counts the left rows that sort strictly before right row ``i`` — its
+    slot, or where it is inserted — and ``match[i]`` says whether the left
+    row at that slot equals it.  Given both sides' keys packed under one
+    basis, this is one binary search per right row, in any order.
+    Otherwise the two tables are concatenated and ranked together, which
+    needs ``right`` sorted and free of duplicates too.
     """
+    if left_keys is not None and right_keys is not None:
+        positions = np.searchsorted(left_keys, right_keys)
+        match = positions < len(left_keys)
+        match[match] = left_keys[positions[match]] == right_keys[match]
+        return positions, match
+    n_left = len(left[0])
     concat = [np.concatenate([np.asarray(l), np.asarray(r)]) for l, r in zip(left, right)]
-    order = lex_rank(concat)
-    return [c[order] for c in concat], order
+    origin = np.repeat(np.array([0, 1], dtype=np.int64), [n_left, len(right[0])])
+    # The origin column breaks ties, so a left row leads its equal right row.
+    order = lex_rank(concat + [origin])
+    from_right = order >= n_left
+    lefts_before = np.cumsum(~from_right)[from_right]
+    match = ~row_group_boundaries([c[order] for c in concat])[from_right]
+    return lefts_before - match, match
 
 
 def gather(indices: np.ndarray, columns: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -130,12 +176,6 @@ def segment_reduce_max(values: np.ndarray, segment_ids: np.ndarray, nseg: int) -
     """Per-segment max of ``values``; segments must be sorted ascending."""
     out = np.full(nseg, -np.inf, dtype=np.float64)
     np.maximum.at(out, segment_ids, values.astype(np.float64))
-    return out
-
-
-def segment_reduce_min(values: np.ndarray, segment_ids: np.ndarray, nseg: int) -> np.ndarray:
-    out = np.full(nseg, np.inf, dtype=np.float64)
-    np.minimum.at(out, segment_ids, values.astype(np.float64))
     return out
 
 

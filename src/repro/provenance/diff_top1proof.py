@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .top1proof import PAD, Top1ProofProvenance, leave_one_out_products
+from .top1proof import PAD, Top1ProofProvenance, gather_inputs, leave_one_out_products
 
 
 class DiffTop1ProofProvenance(Top1ProofProvenance):
@@ -25,8 +25,7 @@ class DiffTop1ProofProvenance(Top1ProofProvenance):
             return
         proofs = tags["proof"]
         valid = (proofs != PAD) & (tags["size"][:, None] > 0)
-        safe = np.clip(proofs, 0, max(self.n_inputs - 1, 0))
-        probs = np.where(valid, self.input_probs[safe], 1.0)
+        probs = gather_inputs(self.input_probs, proofs, valid, 1.0)
         partials = leave_one_out_products(probs, valid)
         weighted = partials * grad_out[:, None]
-        np.add.at(grad_in, safe[valid], weighted[valid])
+        np.add.at(grad_in, proofs[valid], weighted[valid])

@@ -94,8 +94,7 @@ class Top1ProofProvenance(Provenance):
         # Conflicts: adjacent distinct facts sharing an exclusion group
         # (group members hold contiguous fact ids, so sorting by fact id
         # makes conflicting facts adjacent).
-        safe = np.clip(merged, 0, max(self.n_inputs - 1, 0))
-        groups = np.where(valid, self.exclusion_groups[safe], -1)
+        groups = gather_inputs(self.exclusion_groups, merged, valid, -1)
         adjacent_conflict = (
             (groups[:, 1:] == groups[:, :-1])
             & (groups[:, 1:] != -1)
@@ -104,7 +103,7 @@ class Top1ProofProvenance(Provenance):
         )
         conflict = adjacent_conflict.any(axis=1)
 
-        probs = np.where(valid, self.input_probs[safe], 1.0).prod(axis=1)
+        probs = gather_inputs(self.input_probs, merged, valid, 1.0).prod(axis=1)
 
         dead = overflow | conflict | dead_in
         merged = merged[:, :cap]
@@ -140,6 +139,21 @@ class Top1ProofProvenance(Provenance):
 
     def is_absorbing_zero(self, tags) -> np.ndarray:
         return tags["size"] < 0
+
+
+def gather_inputs(
+    values: np.ndarray, proofs: np.ndarray, valid: np.ndarray, fill
+) -> np.ndarray:
+    """Per-input ``values`` (probabilities, exclusion groups) of the fact
+    ids in ``proofs`` where ``valid``, ``fill`` elsewhere.
+
+    With no probabilistic inputs at all, every fact is untagged and every
+    proof is empty, so nothing is valid and the lookup is all ``fill``.
+    """
+    if len(values) == 0:
+        return np.full(proofs.shape, fill, dtype=values.dtype)
+    safe = np.clip(proofs, 0, len(values) - 1)
+    return np.where(valid, values[safe], fill)
 
 
 def leave_one_out_products(probs: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -26,7 +26,13 @@ from itertools import combinations
 import numpy as np
 
 from .base import SATURATION_EPS, Provenance
-from .top1proof import DEFAULT_PROOF_CAPACITY, PAD, Top1ProofProvenance, leave_one_out_products
+from .top1proof import (
+    DEFAULT_PROOF_CAPACITY,
+    PAD,
+    Top1ProofProvenance,
+    gather_inputs,
+    leave_one_out_products,
+)
 
 DEFAULT_K = 3
 
@@ -257,8 +263,7 @@ class DiffTopKProofsDeviceProvenance(TopKProofsDeviceProvenance):
                 if not live.any():
                     continue
                 valid = (proofs != PAD) & live[:, None]
-                safe = np.clip(proofs, 0, max(self.n_inputs - 1, 0))
-                member_probs = np.where(valid, self.input_probs[safe], 1.0)
+                member_probs = gather_inputs(self.input_probs, proofs, valid, 1.0)
                 partials = leave_one_out_products(member_probs, valid)
                 weighted = partials * (sign * grad_out)[:, None]
-                np.add.at(grad_in, safe[valid], weighted[valid])
+                np.add.at(grad_in, proofs[valid], weighted[valid])

@@ -111,6 +111,13 @@ class WriteAheadLog:
             result.truncated_bytes = scan.truncated_bytes
         return result
 
+    def drop_torn_tail(self, seq: int, torn_bytes: int) -> None:
+        """Cut ``torn_bytes`` off the end of segment ``seq``.  Records
+        appended after recovery must follow the last valid frame: left
+        in place, the tear would hide them from the next recovery."""
+        data = self.storage.read(self.name(seq))
+        self.storage.write_atomic(self.name(seq), data[: len(data) - torn_bytes])
+
     def prune_below(self, seq: int) -> None:
         """Drop segments older than ``seq`` (their records are covered
         by every retained checkpoint)."""

@@ -11,6 +11,21 @@ delta facts in:
   instruction); a fact re-enters the frontier if it is brand new or its
   tag strictly improved (tag saturation).
 
+The merge is linear in ``full``, and only the delta is sorted.  ``full``
+carries its rows packed into uint64 keys (:class:`~.table.PackedKeys`)
+together with the per-column ``(lo, bits)`` basis that packed them.  The
+keys belong to the table, not the relation, so a ``full`` assigned from
+outside (a restored checkpoint, a shard clone) is packed afresh on its
+first advance instead of being read under a stale basis.  The delta is
+packed under the same basis, which is widened, and ``full`` re-packed,
+only when a delta value falls outside it.  One binary search per delta
+row (:func:`~repro.gpu.kernels.merge_sorted`) finds its slot in ``full``;
+rediscovered facts ⊕-merge into their old tags and brand-new rows are
+spliced into fresh arrays, with the destinations computed once for every
+column.  The old table is never written, so shard clones may share it.
+Rows that cannot pack (float columns, a span over 63 bits) are located by
+ranking ``full`` and the delta together, and take the same splice.
+
 Alongside the per-iteration ``recent`` frontier, each relation keeps a
 ``changed`` mask accumulating every row added or improved since
 :meth:`StoredRelation.begin_delta_tracking`.  Incremental re-evaluation
@@ -25,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .table import Table
+from .table import PackedKeys, Table
 from ..gpu import kernels
 from ..provenance.base import Provenance
 from ..stats.relation_stats import RelationStats
@@ -50,50 +65,55 @@ def dedup_table(delta: Table, provenance: Provenance) -> Table:
     return Table(unique_cols, tags, nseg)
 
 
+def packed_keys(table: Table) -> PackedKeys | None:
+    """The packed keys of a sorted, duplicate-free ``table``, packed and
+    cached on the table at first use; None when its rows do not pack."""
+    if table.packed is None and table.arity and table.n_rows:
+        basis = kernels.key_basis(table.columns)
+        if basis is not None:
+            table.packed = PackedKeys(basis, kernels.pack_keys(table.columns, basis))
+    return table.packed
+
+
 class RowLocator:
     """Membership lookups against one (lexicographically sorted) table.
 
     The over-delete phase of DRed-style maintenance repeatedly asks
     "which of these candidate rows exist in ``full``?" while ``full`` is
-    guaranteed static.  Building the locator once per maintain pass makes
-    each lookup a binary search over a packed 64-bit key column (the same
-    radix-pack trick :func:`~repro.gpu.kernels.lex_rank` uses) instead of
-    a fresh O((n+q) log) sort; tables whose rows cannot pack (floats,
-    >63 bits) fall back to the concatenate-and-rank path per call.
+    guaranteed static.  Each lookup is a binary search of the query rows'
+    keys, packed under the table's basis, over the table's cached packed
+    keys (:func:`packed_keys`) instead of a fresh O((n+q) log) sort; tables
+    whose rows cannot pack (floats, >63 bits) rank the query rows with
+    the table's rows per call (:func:`~repro.gpu.kernels.merge_sorted`).
     """
 
     def __init__(self, table: Table):
         self._table = table
-        self._params: list[tuple[int, int]] | None = None  # (lo, bits) per col
-        self._packed: np.ndarray | None = None
-        if table.arity and table.n_rows and all(
-            c.dtype.kind != "f" for c in table.columns
-        ):
-            params: list[tuple[int, int]] = []
-            total_bits = 0
-            for col in table.columns:
-                lo, hi = int(col.min()), int(col.max())
-                bits = max(hi - lo, 1).bit_length()
-                total_bits += bits
-                params.append((lo, bits))
-            if total_bits <= 63:
-                self._params = params
-                self._packed = self._pack(table.columns)[0]
+        self._packed = packed_keys(table)
 
-    def _pack(self, columns) -> tuple[np.ndarray, np.ndarray]:
-        """Pack query columns with the table's offsets/widths; rows whose
-        values fall outside the table's per-column range can never match
-        and are reported through the validity mask."""
-        assert self._params is not None
-        n = len(columns[0])
-        packed = np.zeros(n, dtype=np.uint64)
-        valid = np.ones(n, dtype=bool)
-        for col, (lo, bits) in zip(columns, self._params):
-            col = np.asarray(col).astype(np.int64)
-            valid &= (col >= lo) & (col - lo < (1 << bits))
-            shifted = np.clip(col - lo, 0, (1 << bits) - 1).astype(np.uint64)
-            packed = (packed << np.uint64(bits)) | shifted
-        return packed, valid
+    def _find(self, columns) -> tuple[np.ndarray, np.ndarray]:
+        """Locate the query rows in the table: returns ``(query rows
+        found, their positions in the table)``."""
+        table = self._table
+        columns = [
+            np.asarray(q).astype(c.dtype, copy=False)
+            for q, c in zip(columns, table.columns)
+        ]
+        if self._packed is not None:
+            basis, keys = self._packed
+            inside = np.flatnonzero(kernels.in_basis(columns, basis))
+            query = [c[inside] for c in columns]
+            positions, match = kernels.merge_sorted(
+                table.columns, query, keys, kernels.pack_keys(query, basis)
+            )
+            return inside[match], positions[match]
+        # Rows that do not pack: rank the distinct query rows with the
+        # table's, then map each query row to its distinct row.
+        order = kernels.lex_rank(columns)
+        distinct, group, _ = kernels.unique_rows([c[order] for c in columns])
+        positions, match = kernels.merge_sorted(table.columns, distinct)
+        found = match[group]
+        return order[found], positions[group[found]]
 
     def contains(self, columns, n_query: int | None = None) -> np.ndarray:
         """Boolean mask over the *query* rows present in the table (the
@@ -108,45 +128,9 @@ class RowLocator:
             return np.full(n_query, table.n_rows > 0, dtype=bool)
         if table.n_rows == 0 or n_query == 0:
             return np.zeros(n_query, dtype=bool)
-        if self._packed is not None:
-            query, valid = self._pack(columns)
-            idx = np.searchsorted(self._packed, query, side="left")
-            in_range = idx < len(self._packed)
-            hit = np.zeros(n_query, dtype=bool)
-            hit[in_range] = self._packed[idx[in_range]] == query[in_range]
-            return hit & valid
-        origin, order, segment_ids = self._merged_groups(columns, n_query)
-        nseg = int(segment_ids[-1]) + 1 if len(segment_ids) else 0
-        seg_has_full = np.zeros(nseg, dtype=bool)
-        seg_has_full[segment_ids[origin == 0]] = True
         hit = np.zeros(n_query, dtype=bool)
-        query_positions = order[origin == 1] - table.n_rows
-        hit[query_positions] = seg_has_full[segment_ids[origin == 1]]
+        hit[self._find(columns)[0]] = True
         return hit
-
-    def _merged_groups(
-        self, columns, n_query: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The unpackable-rows fallback shared by :meth:`contains` and
-        :meth:`member_mask`: merge-sort the table's rows with the query
-        rows and group equal rows.  Returns ``(origin, order,
-        segment_ids)`` in sorted position order, where ``origin`` is 0
-        for table rows and 1 for query rows."""
-        table = self._table
-        combined = [
-            np.concatenate([fc, np.asarray(qc).astype(fc.dtype)])
-            for fc, qc in zip(table.columns, columns)
-        ]
-        origin = np.concatenate(
-            [
-                np.zeros(table.n_rows, dtype=np.int64),
-                np.ones(n_query, dtype=np.int64),
-            ]
-        )
-        order = kernels.lex_rank(combined + [origin])
-        combined = [c[order] for c in combined]
-        is_first = kernels.row_group_boundaries(combined)
-        return origin[order], order, np.cumsum(is_first) - 1
 
     def member_mask(self, columns) -> np.ndarray:
         """Boolean mask over the *table's* rows hit by any query row."""
@@ -161,20 +145,7 @@ class RowLocator:
             return mask
         if n_query == 0:
             return mask
-        if self._packed is not None:
-            query, valid = self._pack(columns)
-            query = query[valid]
-            idx = np.searchsorted(self._packed, query, side="left")
-            in_range = idx < len(self._packed)
-            hit = idx[in_range][self._packed[idx[in_range]] == query[in_range]]
-            mask[hit] = True
-            return mask
-        origin, order, segment_ids = self._merged_groups(columns, n_query)
-        nseg = int(segment_ids[-1]) + 1 if len(segment_ids) else 0
-        seg_has_query = np.zeros(nseg, dtype=bool)
-        seg_has_query[segment_ids[origin == 1]] = True
-        full_positions = order[origin == 0]  # original indices into full
-        mask[full_positions] = seg_has_query[segment_ids[origin == 0]]
+        mask[self._find(columns)[1]] = True
         return mask
 
 
@@ -270,9 +241,14 @@ class StoredRelation:
         so callers can surface them as retraction deltas.  ``full`` stays
         sorted (removal preserves order); the recent/changed masks are
         reset — the re-derive phase reseeds them."""
-        removed = self.full.take(np.flatnonzero(mask))
-        keep = np.flatnonzero(~mask)
-        self.full = self.full.take(keep)
+        full = self.full
+        doomed, keep = np.flatnonzero(mask), np.flatnonzero(~mask)
+        removed, self.full = full.take(doomed), full.take(keep)
+        if full.packed is not None:
+            # Both parts stay sorted, so their keys are subsequences.
+            basis, keys = full.packed
+            removed.packed = PackedKeys(basis, keys[doomed])
+            self.full.packed = PackedKeys(basis, keys[keep])
         self.recent_mask = np.zeros(self.full.n_rows, dtype=bool)
         self.changed_mask = np.zeros(self.full.n_rows, dtype=bool)
         if self._stats is not None:
@@ -301,8 +277,9 @@ class StoredRelation:
         whose tags improved become the frontier.
         """
         prov = self.provenance
-        if len(self.changed_mask) != self.full.n_rows:
-            self.changed_mask = np.zeros(self.full.n_rows, dtype=bool)
+        full = self.full
+        if len(self.changed_mask) != full.n_rows:
+            self.changed_mask = np.zeros(full.n_rows, dtype=bool)
         if delta.n_rows == 0:
             self.clear_recent()
             return 0
@@ -312,7 +289,7 @@ class StoredRelation:
             self.clear_recent()
             return 0
 
-        if self.full.n_rows == 0:
+        if full.n_rows == 0:
             keep = ~prov.is_absorbing_zero(delta.tags)
             self.full = delta.take(np.flatnonzero(keep))
             self.recent_mask = np.ones(self.full.n_rows, dtype=bool)
@@ -321,90 +298,90 @@ class StoredRelation:
                 self._stats.observe_added(self.full.columns, self.full.n_rows)
             return self.full.n_rows
 
-        # Merge sorted full with sorted delta; an origin column (0 = old,
-        # 1 = new) is the least significant sort key so the existing fact
-        # leads each duplicate group.
-        n_old, n_new = self.full.n_rows, delta.n_rows
-        combined_cols = [
-            np.concatenate([self.full.columns[j], delta.columns[j]])
-            for j in range(self.arity)
-        ]
-        origin = np.concatenate(
-            [np.zeros(n_old, dtype=np.int64), np.ones(n_new, dtype=np.int64)]
-        )
-        combined_tags = np.concatenate([self.full.tags, delta.tags])
-        order = kernels.lex_rank(combined_cols + [origin])
-        combined_cols = [c[order] for c in combined_cols]
-        origin = origin[order]
-        combined_tags = combined_tags[order]
-
+        # Locate every delta row in ``full``: its slot, and whether the
+        # fact is already there.
+        packed = self._packed_covering(delta)
+        delta_keys = None
         if self.arity == 0:
-            is_first = np.zeros(n_old + n_new, dtype=bool)
-            if n_old + n_new:
-                is_first[0] = True
+            # Every arity-0 row is the empty tuple, already in ``full``.
+            positions = np.zeros(1, dtype=np.int64)
+            match = np.ones(1, dtype=bool)
+        elif packed is None:
+            positions, match = kernels.merge_sorted(full.columns, delta.columns)
         else:
-            is_first = kernels.row_group_boundaries(combined_cols)
-        segment_ids = np.cumsum(is_first) - 1
-        nseg = int(segment_ids[-1]) + 1 if len(segment_ids) else 0
-        firsts = np.flatnonzero(is_first)
-
-        has_old = origin[firsts] == 0
-
-        # Combine the new rows of each segment with ⊕.
-        new_rows = np.flatnonzero(origin == 1)
-        new_segments = segment_ids[new_rows]
-        seg_has_new = np.zeros(nseg, dtype=bool)
-        seg_has_new[new_segments] = True
-        # Dense renumbering of segments that contain new rows.
-        dense_of_seg = np.cumsum(seg_has_new) - 1
-        combined_new = prov.oplus_reduce(
-            combined_tags[new_rows], dense_of_seg[new_segments], int(seg_has_new.sum())
-        )
-
-        out_tags = combined_tags[firsts].copy()
-        improved = ~has_old & seg_has_new  # brand-new facts
-        both = has_old & seg_has_new
-        if both.any():
-            merged, tag_improved = prov.merge_existing(
-                combined_tags[firsts[both]], combined_new[dense_of_seg[both]]
+            delta_keys = kernels.pack_keys(delta.columns, packed.basis)
+            positions, match = kernels.merge_sorted(
+                full.columns, delta.columns, packed.keys, delta_keys
             )
-            out_tags[both] = merged
-            improved[both] = tag_improved
-        pure_new = ~has_old
-        if pure_new.any():
-            out_tags[pure_new] = combined_new[dense_of_seg[pure_new]]
 
-        # Drop brand-new facts whose tag is the absorbing zero.
-        keep = np.ones(nseg, dtype=bool)
-        zero = prov.is_absorbing_zero(out_tags)
-        keep[pure_new & zero] = False
+        # Rediscovered facts ⊕-merge into their old tags.
+        hits = np.flatnonzero(match)
+        old_hits = positions[hits]
+        if len(hits):
+            merged, improved = prov.merge_existing(
+                full.tags[old_hits], delta.tags[hits]
+            )
+        # Brand-new facts are inserted unless their tag is the absorbing
+        # zero.
+        fresh = np.flatnonzero(~match)
+        fresh = fresh[~prov.is_absorbing_zero(delta.tags[fresh])]
 
-        # Carry each surviving old row's ``changed`` flag through the
-        # merge (row positions shift as new facts interleave), then fold
-        # this advance's improvements in.
-        changed = np.zeros(nseg, dtype=bool)
-        old_rows = order[firsts[has_old]]  # positions < n_old by sort order
-        changed[has_old] = self.changed_mask[old_rows]
-        changed |= improved
+        # Splice: a new row lands at its slot shifted by the new rows
+        # inserted before it; old rows fill the remaining positions in
+        # order.  Every column reuses these destinations.
+        n = full.n_rows + len(fresh)
+        slots = positions[fresh]
+        new_dest = slots + np.arange(len(fresh))
+        is_old = np.ones(n, dtype=bool)
+        is_old[new_dest] = False
+        hit_dest = old_hits + np.searchsorted(slots, old_hits, side="right")
 
-        kept = np.flatnonzero(keep)
+        def splice(old: np.ndarray, new) -> np.ndarray:
+            out = np.empty(n, dtype=old.dtype)
+            out[is_old] = old
+            out[new_dest] = new
+            return out
+
+        tags = splice(full.tags, delta.tags[fresh])
+        recent = np.zeros(n, dtype=bool)
+        recent[new_dest] = True
+        if len(hits):
+            tags[hit_dest] = merged
+            recent[hit_dest[improved]] = True
+        # Carry each old row's ``changed`` flag through the splice, then
+        # fold this advance's additions and improvements in.
+        self.changed_mask = splice(self.changed_mask, True) | recent
+        self.recent_mask = recent
         self.full = Table(
-            [c[firsts[kept]] for c in combined_cols],
-            out_tags[kept],
-            len(kept),
+            [splice(f, d[fresh]) for f, d in zip(full.columns, delta.columns)],
+            tags,
+            n,
         )
-        self.recent_mask = improved[kept]
-        self.changed_mask = changed[kept]
-        if self._stats is not None:
-            # Only brand-new surviving facts change the summarized row
-            # set (tag improvements touch tags, not values), so folding
-            # exactly those keeps the stats equal to a recompute.
-            added = np.flatnonzero(pure_new & keep)
-            if len(added):
-                self._stats.observe_added(
-                    [c[firsts[added]] for c in combined_cols], len(added)
-                )
-        return int(self.recent_mask.sum())
+        if delta_keys is not None:
+            self.full.packed = PackedKeys(
+                packed.basis, splice(packed.keys, delta_keys[fresh])
+            )
+        if self._stats is not None and len(fresh):
+            # Only brand-new facts change the summarized row set (tag
+            # improvements touch tags, not values), so folding exactly
+            # those keeps the stats equal to a recompute.
+            self._stats.observe_added([d[fresh] for d in delta.columns], len(fresh))
+        return int(recent.sum())
+
+    def _packed_covering(self, delta: Table) -> PackedKeys | None:
+        """The non-empty ``full``'s packed keys under a basis that also
+        covers ``delta``; None when the rows do not pack.  ``full`` is
+        packed once, and re-packed only when ``delta`` falls outside its
+        basis."""
+        packed = packed_keys(self.full)
+        if packed is None:
+            return None
+        basis = kernels.key_basis(delta.columns, packed.basis)
+        if basis is None:
+            return None
+        if basis != packed.basis:
+            packed = PackedKeys(basis, kernels.pack_keys(self.full.columns, basis))
+        return packed
 
     # ------------------------------------------------------------------
 

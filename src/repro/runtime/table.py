@@ -8,11 +8,21 @@ behave correctly — they hold at most one logical row after deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..provenance.base import Provenance
+
+
+class PackedKeys(NamedTuple):
+    """The uint64 keys of a sorted, duplicate-free table's rows and the
+    per-column ``(lo, bits)`` basis that packed them
+    (:func:`~repro.gpu.kernels.pack_keys`)."""
+
+    basis: tuple[tuple[int, int], ...]
+    keys: np.ndarray
 
 
 @dataclass
@@ -22,6 +32,10 @@ class Table:
     columns: list[np.ndarray]
     tags: np.ndarray
     n_rows: int
+    #: Packed keys of these rows, cached by the relation storage on the
+    #: sorted tables it keeps.  They belong to this table, whose columns
+    #: are never written once built; any other table starts without them.
+    packed: PackedKeys | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def empty(cls, dtypes: tuple[np.dtype, ...], provenance: Provenance) -> "Table":

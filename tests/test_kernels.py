@@ -52,12 +52,82 @@ class TestSortAndUnique:
             assert segment_ids[-1] == len(got) - 1
             assert (np.diff(segment_ids) >= 0).all()
 
-    def test_merge_sorted(self):
-        left = [np.array([1, 3])]
-        right = [np.array([2, 4])]
-        merged, order = kernels.merge_sorted(left, right)
-        assert merged[0].tolist() == [1, 2, 3, 4]
-        assert order.tolist() == [0, 2, 1, 3]
+
+def _merge_reference(left_rows, right_rows):
+    """Slot and presence of each right row in the sorted left rows."""
+    positions = [sum(1 for row in left_rows if row < r) for r in right_rows]
+    match = [r in left_rows for r in right_rows]
+    return positions, match
+
+
+def _packed_merge(left, right):
+    basis = kernels.key_basis(right, kernels.key_basis(left))
+    return kernels.merge_sorted(
+        left, right, kernels.pack_keys(left, basis), kernels.pack_keys(right, basis)
+    )
+
+
+class TestMergeSorted:
+    def test_positions_and_match(self):
+        left = [np.array([1, 1, 3]), np.array([0, 4, 2])]
+        right = [np.array([0, 1, 1, 3, 5]), np.array([9, 4, 5, 2, 0])]
+        for positions, match in (
+            kernels.merge_sorted(left, right),
+            _packed_merge(left, right),
+        ):
+            assert positions.tolist() == [0, 1, 2, 2, 3]
+            assert match.tolist() == [False, True, False, True, False]
+
+    def test_float_columns_take_ranked_path(self):
+        left = [np.array([0.5, 1.5, 2.5])]
+        right = [np.array([0.25, 1.5, 3.0])]
+        assert kernels.key_basis(left) is None
+        positions, match = kernels.merge_sorted(left, right)
+        assert positions.tolist() == [0, 1, 3]
+        assert match.tolist() == [False, True, False]
+
+    def test_wide_span_takes_ranked_path(self):
+        left = [np.array([-(2**62), 0, 2**62])]
+        right = [np.array([-(2**62), 1, 2**62 + 1])]
+        assert kernels.key_basis(left + right) is None
+        positions, match = kernels.merge_sorted(left, right)
+        assert positions.tolist() == [0, 2, 3]
+        assert match.tolist() == [True, False, False]
+
+    @given(
+        st.sets(st.tuples(ints, ints), max_size=40),
+        st.sets(st.tuples(ints, ints), min_size=1, max_size=40),
+    )
+    def test_both_paths_match_reference(self, left_rows, right_rows):
+        left_rows, right_rows = sorted(left_rows), sorted(right_rows)
+        left = [np.array([r[j] for r in left_rows], dtype=np.int64) for j in range(2)]
+        right = [np.array([r[j] for r in right_rows], dtype=np.int64) for j in range(2)]
+        want = _merge_reference(left_rows, right_rows)
+        for positions, match in (
+            kernels.merge_sorted(left, right),
+            _packed_merge(left, right),
+        ):
+            assert (positions.tolist(), match.tolist()) == want
+
+
+class TestKeyBasis:
+    def test_packing_keeps_row_order(self):
+        cols = [np.array([-3, -3, 7]), np.array([2, 9, -1])]
+        basis = kernels.key_basis(cols)
+        keys = kernels.pack_keys(cols, basis)
+        assert (keys[1:] > keys[:-1]).all()
+
+    def test_extend_covers_old_range(self):
+        basis = kernels.key_basis([np.array([0, 5])])
+        assert basis == ((0, 3),)
+        assert kernels.key_basis([np.array([2])], basis) == basis
+        assert kernels.key_basis([np.array([-1])], basis) == ((-1, 4),)
+        assert kernels.key_basis([np.array([9])], basis) == ((0, 4),)
+
+    def test_in_basis(self):
+        basis = ((0, 2), (-4, 3))
+        cols = [np.array([0, 3, 4, 1]), np.array([-4, 3, 0, -5])]
+        assert kernels.in_basis(cols, basis).tolist() == [True, True, False, False]
 
 
 class TestSegmentReductions:

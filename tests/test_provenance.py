@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import LobsterEngine
+from repro.baselines import ScallopInterpreter
 from repro.provenance import available, create
 from repro.provenance.top1proof import PAD, leave_one_out_products
 
@@ -282,3 +284,33 @@ class TestUnitProvenance:
         new = provenance.one_tags(3)
         _, improved = provenance.merge_existing(old, new)
         assert not improved.any()
+
+
+@pytest.mark.parametrize("name", available())
+def test_untagged_facts_run_under_every_provenance(name):
+    """Facts added without probabilities carry the semiring's 1, so TC
+    over them derives the plain closure with probability 1 everywhere
+    (the proof semirings once raised IndexError here: with no inputs
+    there are no exclusion groups to look up)."""
+    program = "rel path(x, y) :- edge(x, y) or (path(x, z) and edge(z, y))."
+    # Acyclic, so the non-idempotent sums of addmultprob saturate.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 2)]
+    closure = {(x, y) for x in range(4) for y in range(x + 1, 4)}
+    if not create(name).supports_device:
+        engine = ScallopInterpreter(program, provenance=name)
+        database = engine.create_database()
+        database.add_facts("edge", edges)
+        engine.run(database)
+        rows = database.rows("path")
+        probs = {row: database.provenance.scalar_prob(tag) for row, tag in rows.items()}
+    else:
+        engine = LobsterEngine(program, provenance=name)
+        database = engine.create_database()
+        database.add_facts("edge", edges)
+        engine.run(database)
+        probs = engine.query_probs(database, "path")
+        if database.provenance.is_differentiable:
+            gradient = engine.backward(database, "path", {(0, 3): 1.0})
+            assert len(gradient) == 0
+    assert set(probs) == closure
+    assert all(prob == 1.0 for prob in probs.values())

@@ -238,6 +238,18 @@ class TestCrashSchedules:
         finally:
             shutil.rmtree(root)
 
+    def test_appends_after_a_torn_tail_survive_the_next_crash(self, tmp_path):
+        """A torn WAL append, then a death after the next incarnation
+        acknowledged deltas: recovery must cut the tear off, or the
+        cursor records appended behind it vanish and ticks 0-1 are
+        delivered twice."""
+        _, delivered, crashes = run_durable(
+            tmp_path, lambda: tc_setup("minmaxprob"), 8,
+            [{1: 0.2}, {2: 0.0}], poll_every=2,
+        )
+        assert crashes == 2
+        assert [d.tick for d in delivered] == list(range(8))
+
     def test_every_single_crash_point_deterministically(self, tmp_path):
         """Exhaustively kill EVERY write op at a torn and a post-write
         boundary (the hypothesis test samples this space; the sweep pins
